@@ -12,7 +12,8 @@
 # The default preset additionally runs bench_transport / bench_overhead in
 # quick JSON mode and validates BENCH_*.json, so a broken machine-readable
 # bench surface (schema drift, crash at exit, malformed output) fails the
-# check even though the benches are not ctest targets.
+# check even though the benches are not ctest targets. It also builds the
+# end-to-end benchmark (perfbench) and runs its self-test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -267,6 +268,15 @@ print(f"    luma analysis gate OK: cache hit {speedup:.0f}x cold, "
 EOF
 }
 
+# Builds perfbench — its own CMake package compiling ../src, into
+# .bench_build/perfbench — and runs its built-in checks, so a src/ change
+# that breaks the benchmark's build or the API it drives fails here rather
+# than only when the benchmark itself is run.
+run_perfbench_selftest() {
+  echo "==> perfbench --self-test"
+  python3 perfbench/run.py --self-test
+}
+
 case "${1:-default}" in
   default)
     run_preset default
@@ -281,6 +291,7 @@ case "${1:-default}" in
     run_lb_gate
     run_luma_analysis_gate
     run_overload_gate
+    run_perfbench_selftest
     ;;
   tsan|asan)
     run_preset "$1"
@@ -298,6 +309,7 @@ case "${1:-default}" in
     run_lb_gate
     run_luma_analysis_gate
     run_overload_gate
+    run_perfbench_selftest
     run_preset tsan
     run_preset asan
     ;;

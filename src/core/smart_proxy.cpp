@@ -28,6 +28,17 @@ void reject_on_lint_error(const script::ScriptEngine::AnalysisVerdict& verdict,
     throw Error(chunk_name + ": script rejected by static analysis: " + detail);
   }
 }
+
+/// The first offer whose provider is not `avoid` (the component that just
+/// failed), else the front: with nothing else on offer, the failed one may
+/// have recovered. Null when there are no offers.
+const trading::OfferInfo* choose_offer(const std::vector<trading::OfferInfo>& offers,
+                                       const ObjectRef& avoid) {
+  for (const auto& offer : offers) {
+    if (!(offer.provider == avoid)) return &offer;
+  }
+  return offers.empty() ? nullptr : &offers.front();
+}
 }  // namespace
 
 SmartProxyPtr SmartProxy::create(orb::OrbPtr orb, ObjectRef lookup, SmartProxyConfig config,
@@ -209,14 +220,19 @@ void SmartProxy::eval_strategy_script(const std::string& chunk) {
 // ---- selection -----------------------------------------------------------
 
 bool SmartProxy::select() {
-  if (select(config_.constraint)) return true;
-  if (config_.fallback_to_sorted && !config_.constraint.empty()) {
-    // Paper SV: "If no offer suits the imposed restriction, the smart proxy
-    // issues an alternative query, where it specifies only offer sorting".
-    log_debug("smartproxy[", config_.service_type, "]: falling back to sorted query");
-    return select("");
+  try {
+    return !bind_first(query_offers_all(), {}).empty();
+  } catch (const TraderUnavailable&) {
+    return false;  // the paper's select() contract: false, never a throw
   }
-  return false;
+}
+
+bool SmartProxy::select(const std::string& constraint) {
+  try {
+    return !bind_first(query_offers(constraint, config_.preference), {}).empty();
+  } catch (const TraderUnavailable&) {
+    return false;
+  }
 }
 
 std::vector<trading::OfferInfo> SmartProxy::query_offers(const std::string& constraint,
@@ -264,43 +280,20 @@ std::vector<trading::OfferInfo> SmartProxy::query_offers(const std::string& cons
 std::vector<trading::OfferInfo> SmartProxy::query_offers_all() {
   auto offers = query_offers(config_.constraint, config_.preference);
   if (offers.empty() && config_.fallback_to_sorted && !config_.constraint.empty()) {
+    // Paper SV: "If no offer suits the imposed restriction, the smart proxy
+    // issues an alternative query, where it specifies only offer sorting".
+    log_debug("smartproxy[", config_.service_type, "]: falling back to sorted query");
     offers = query_offers("", config_.preference);
   }
   return offers;
 }
 
-bool SmartProxy::select(const std::string& constraint) {
-  std::vector<trading::OfferInfo> offers;
-  try {
-    offers = query_offers(constraint, config_.preference);
-    std::scoped_lock lock(mu_);
-    trader_unreachable_ = false;
-  } catch (const TraderUnavailable&) {
-    // Keep the paper's select() contract — false, no throw — but remember
-    // the cause so invoke() can report "trader unreachable" rather than the
-    // misleading "no component available".
-    std::scoped_lock lock(mu_);
-    trader_unreachable_ = true;
-    return false;
-  }
-
-  // Prefer offers that are not the provider that just failed.
-  ObjectRef failed;
-  {
-    std::scoped_lock lock(mu_);
-    failed = last_failed_;
-  }
-  const trading::OfferInfo* chosen = nullptr;
-  for (const auto& offer : offers) {
-    if (failed.empty() || !(offer.provider == failed)) {
-      chosen = &offer;
-      break;
-    }
-  }
-  if (chosen == nullptr && !offers.empty()) chosen = &offers.front();
-  if (chosen == nullptr) return false;
+ObjectRef SmartProxy::bind_first(const std::vector<trading::OfferInfo>& offers,
+                                 const ObjectRef& avoid) {
+  const trading::OfferInfo* chosen = choose_offer(offers, avoid);
+  if (chosen == nullptr) return {};
   bind(*chosen);
-  return true;
+  return chosen->provider;
 }
 
 void SmartProxy::bind(const trading::OfferInfo& offer) {
@@ -328,7 +321,6 @@ void SmartProxy::bind(const trading::OfferInfo& offer) {
     if (changed) {
       history_.push_back(offer.provider.str());
       ++rebinds_;
-      if (!(current_ == last_failed_)) last_failed_ = ObjectRef{};
     }
   }
   attach_registrations();
@@ -578,32 +570,23 @@ void SmartProxy::add_method_alternative(const std::string& operation,
   method_alternatives_[operation] = alternative;
 }
 
-ObjectRef SmartProxy::resolve_route(const std::string& operation, OperationRoute& route,
-                                    bool force_reselect) {
-  if (!force_reselect && !route.target.empty()) return route.target;
-  const ObjectRef avoid = route.target;
-  auto offers = query_offers(route.constraint, route.preference);
-  const trading::OfferInfo* chosen = nullptr;
-  for (const auto& offer : offers) {
-    if (!force_reselect || avoid.empty() || !(offer.provider == avoid)) {
-      chosen = &offer;
-      break;
-    }
-  }
-  if (chosen == nullptr && !offers.empty()) chosen = &offers.front();
-  if (chosen == nullptr) {
-    throw NoComponentAvailable("no component satisfies route for operation '" + operation +
-                               "' of '" + config_.service_type + "'");
-  }
-  route.target = chosen->provider;
+ObjectRef SmartProxy::resolve_route(OperationRoute& route, const ObjectRef& failed) {
+  if (failed.empty() && !route.target.empty()) return route.target;
+  const auto offers = query_offers(route.constraint, route.preference);
+  const trading::OfferInfo* chosen = choose_offer(offers, failed);
+  route.target = chosen != nullptr ? chosen->provider : ObjectRef{};
   return route.target;
 }
 
 // ---- invocation ------------------------------------------------------------
 
-Value SmartProxy::forward_to(const ObjectRef& target, const std::string& operation,
+Value SmartProxy::forward_to(const ObjectRef& target, const lb::ReplicaSetPtr& set,
+                             const lb::ReplicaPtr& replica, const std::string& operation,
                              const ValueList& args, int depth) {
   try {
+    if (replica != nullptr) {
+      return set->invoke(orb_, replica, operation, args, orb_->is_idempotent(operation));
+    }
     return orb_->invoke(target, operation, args);
   } catch (const orb::BadOperation&) {
     std::string alternative;
@@ -615,17 +598,8 @@ Value SmartProxy::forward_to(const ObjectRef& target, const std::string& operati
     if (alternative.empty() || depth >= 8) throw;
     log_debug("smartproxy[", config_.service_type, "]: '", operation,
               "' unavailable, trying alternative '", alternative, "'");
-    return forward_to(target, alternative, args, depth + 1);
+    return forward_to(target, set, replica, alternative, args, depth + 1);
   }
-}
-
-Value SmartProxy::forward(const std::string& operation, const ValueList& args) {
-  ObjectRef target;
-  {
-    std::scoped_lock lock(mu_);
-    target = current_;
-  }
-  return forward_to(target, operation, args);
 }
 
 Value SmartProxy::invoke(const std::string& operation, const ValueList& args) {
@@ -648,104 +622,86 @@ Value SmartProxy::invoke(const std::string& operation, const ValueList& args) {
 Value SmartProxy::invoke_traced(const std::string& operation, const ValueList& args) {
   handle_pending_events();
 
-  // Routed operations resolve their own component (SIV-A).
-  bool routed = false;
-  OperationRoute route;
-  {
-    std::scoped_lock lock(mu_);
-    const auto it = routes_.find(operation);
-    if (it != routes_.end()) {
-      routed = true;
-      route = it->second;
-    }
-  }
-  if (routed) {
-    {
-      std::scoped_lock lock(mu_);
-      ++invocations_;
-    }
-    ObjectRef target = resolve_route(operation, route, /*force_reselect=*/false);
-    auto store = [&] {
-      std::scoped_lock lock(mu_);
-      const auto it = routes_.find(operation);
-      if (it != routes_.end()) it->second.target = route.target;
-    };
-    try {
-      const Value result = forward_to(target, operation, args);
-      store();
-      return result;
-    } catch (const orb::TransportError& e) {
-      if (!config_.auto_failover) throw;
-      // The request may already have run on the failed component; blindly
-      // re-executing a non-idempotent operation elsewhere could double it.
-      if (e.maybe_executed() && !orb_->is_idempotent(operation)) throw;
-    } catch (const orb::ObjectNotFound&) {
-      if (!config_.auto_failover) throw;
-    }
-    target = resolve_route(operation, route, /*force_reselect=*/true);
-    const Value result = forward_to(target, operation, args);
-    store();
-    return result;
-  }
-
-  // A non-sticky policy (or a custom scorer) routes un-routed invocations
-  // through the replica set instead of the single bound component.
-  if (lb_active()) return invoke_balanced(operation, args);
-
-  if (!bound() && !select()) {
-    throw_no_component("no component available for service type '" +
-                       config_.service_type + "'");
-  }
+  // One snapshot fixes the selection source for this call: a routed
+  // operation resolves its own component (SIV-A), an active balancing policy
+  // or custom scorer picks from the replica set, and everything else goes to
+  // the bound component, binding on demand.
+  std::optional<OperationRoute> route;
+  lb::ReplicaSetPtr set;
+  ObjectRef target;
   {
     std::scoped_lock lock(mu_);
     ++invocations_;
+    if (const auto it = routes_.find(operation); it != routes_.end()) {
+      route = it->second;
+    } else if (replica_set_ != nullptr && (replica_set_->policy() != lb::Policy::Sticky ||
+                                           replica_set_->has_score_fn())) {
+      set = replica_set_;
+    } else {
+      target = current_;
+    }
   }
-  try {
-    return forward(operation, args);
-  } catch (const orb::TransportError& e) {
-    if (!config_.auto_failover) throw;
-    // After the request was fully written the peer may have executed it:
-    // reselect-and-retry is only safe for idempotent operations (the same
-    // discipline the transport pool applies to its post-write redial).
-    if (e.maybe_executed() && !orb_->is_idempotent(operation)) throw;
-    log_warn("smartproxy[", config_.service_type, "]: component unreachable (", e.what(),
-             "), failing over");
-  } catch (const orb::ObjectNotFound& e) {
-    if (!config_.auto_failover) throw;
-    log_warn("smartproxy[", config_.service_type, "]: component gone (", e.what(),
-             "), failing over");
-  }
-  {
-    std::scoped_lock lock(mu_);
-    last_failed_ = current_;
-    current_ = ObjectRef{};
-    current_monitor_ref_ = ObjectRef{};
-    offer_.reset();
-  }
-  if (!select()) {
-    throw_no_component("component failed and no replacement found for '" +
-                       config_.service_type + "'");
-  }
-  return forward(operation, args);
-}
 
-void SmartProxy::throw_no_component(const std::string& message) const {
-  bool outage;
-  {
-    std::scoped_lock lock(mu_);
-    outage = trader_unreachable_;
+  ObjectRef failed;  // set once the first attempt could not reach its target
+  for (;;) {
+    lb::ReplicaPtr replica;
+    if (route) {
+      target = resolve_route(*route, failed);
+    } else if (set != nullptr) {
+      replica = set->pick();
+      target = replica != nullptr ? replica->provider() : ObjectRef{};
+    } else if (target.empty() || !failed.empty()) {
+      target = bind_first(query_offers_all(), failed);
+    }
+    if (target.empty()) {
+      const std::string message = "no component available for '" + operation +
+                                  "' of service type '" + config_.service_type + "'";
+      // The replica set keeps serving its stale view through a trader
+      // outage, so an empty pick is the only place the outage shows.
+      if (set != nullptr && !set->last_refresh_error().empty()) {
+        throw TraderUnavailable(message + " (trader unreachable)");
+      }
+      throw NoComponentAvailable(message);
+    }
+
+    try {
+      Value result = forward_to(target, set, replica, operation, args);
+      if (route) {
+        std::scoped_lock lock(mu_);
+        const auto it = routes_.find(operation);
+        if (it != routes_.end()) it->second.target = target;
+      }
+      return result;
+    } catch (const orb::OrbError& e) {
+      // The failover gate: an unreachable or vanished component gets one
+      // reselect-and-retry. After the request was fully written the peer may
+      // have executed it, so re-running it elsewhere is only safe for an
+      // idempotent operation (the transport pool's post-write redial rule).
+      const auto* lost = dynamic_cast<const orb::TransportError*>(&e);
+      const bool unreachable =
+          lost != nullptr || dynamic_cast<const orb::ObjectNotFound*>(&e) != nullptr;
+      if (!unreachable || !config_.auto_failover || !failed.empty() ||
+          (lost != nullptr && lost->maybe_executed() && !orb_->is_idempotent(operation))) {
+        throw;
+      }
+      log_warn("smartproxy[", config_.service_type, "]: ", target.str(), " failed (",
+               e.what(), "), failing over");
+    }
+    failed = target;
+    if (!route && set == nullptr) {
+      // Drop the dead binding, so a failover that finds nothing leaves the
+      // proxy unbound and the rebind does not call the dead monitor.
+      std::scoped_lock lock(mu_);
+      if (current_ == failed) {
+        current_ = ObjectRef{};
+        current_monitor_ref_ = ObjectRef{};
+        offer_.reset();
+      }
+    }
   }
-  if (outage) throw TraderUnavailable(message + " (trader unreachable)");
-  throw NoComponentAvailable(message);
 }
 
 // ---- load balancing --------------------------------------------------------
-
-bool SmartProxy::lb_active() const {
-  std::scoped_lock lock(mu_);
-  return replica_set_ != nullptr &&
-         (replica_set_->policy() != lb::Policy::Sticky || replica_set_->has_score_fn());
-}
 
 lb::ReplicaSetPtr SmartProxy::replica_set(bool ensure) {
   {
@@ -782,41 +738,6 @@ void SmartProxy::set_lb_policy(const std::string& policy) {
 std::string SmartProxy::lb_policy() const {
   std::scoped_lock lock(mu_);
   return replica_set_ != nullptr ? lb::policy_name(replica_set_->policy()) : "sticky";
-}
-
-Value SmartProxy::invoke_balanced(const std::string& operation, const ValueList& args) {
-  lb::ReplicaSetPtr set;
-  {
-    std::scoped_lock lock(mu_);
-    set = replica_set_;
-    ++invocations_;
-  }
-  const bool idempotent = orb_->is_idempotent(operation);
-  for (int attempt = 0;; ++attempt) {
-    lb::ReplicaPtr replica = set->pick();
-    if (!replica) {
-      if (!set->last_refresh_error().empty()) {
-        throw TraderUnavailable("no replica available for service type '" +
-                                config_.service_type + "' (trader unreachable)");
-      }
-      throw NoComponentAvailable("no replica available for service type '" +
-                                 config_.service_type + "'");
-    }
-    try {
-      return set->invoke(orb_, replica, operation, args, idempotent);
-    } catch (const orb::TransportError& e) {
-      // The breaker already recorded the failure; one reselect-and-retry,
-      // gated on idempotence exactly like the sticky failover path.
-      if (!config_.auto_failover || attempt >= 1) throw;
-      if (e.maybe_executed() && !idempotent) throw;
-      log_warn("smartproxy[", config_.service_type, "]: replica unreachable (", e.what(),
-               "), repicking");
-    } catch (const orb::ObjectNotFound& e) {
-      if (!config_.auto_failover || attempt >= 1) throw;
-      log_warn("smartproxy[", config_.service_type, "]: replica gone (", e.what(),
-               "), repicking");
-    }
-  }
 }
 
 uint64_t SmartProxy::invocations() const {

@@ -13,7 +13,9 @@
 //      with ongoing traffic when a reconfiguration is done" (paper SIV-A);
 //   5. falls back to a sorting-only query when no offer satisfies the
 //      constraint (paper SV), and fails over when the selected component
-//      becomes unreachable.
+//      becomes unreachable: one reselect-and-retry, the same for sticky,
+//      routed and balanced calls, and never re-running a non-idempotent
+//      request the failed component may already have executed.
 //
 // Adaptation strategies are either native C++ callbacks or Luma functions
 // stored in the proxy's `_strategies` table — the exact structure of the
@@ -83,10 +85,12 @@ struct SmartProxyConfig {
   std::optional<orb::RetryPolicy> query_retry;
   /// Initial load-balancing policy: "sticky" (the paper's single-bind
   /// behavior, default) | "round_robin" | "p2c" | "weighted". Any non-sticky
-  /// policy routes un-routed invocations through a replica set holding
+  /// policy makes un-routed invocations pick from a replica set holding
   /// *every* offer matching the query (src/lb) instead of the single bound
-  /// component. With "sticky" and no lb.* calls, no replica set is ever
-  /// created and the proxy behaves byte-identically to earlier releases.
+  /// component; only the pick differs — forwarding, method alternatives and
+  /// failover are the same for every policy. With "sticky" and no lb.* calls,
+  /// no replica set is ever created and the proxy behaves byte-identically
+  /// to earlier releases.
   std::string lb_policy = "sticky";
   /// Replica-set tuning: refresh TTL, circuit breaker, hedging, clock.
   lb::ReplicaSetConfig lb;
@@ -153,7 +157,8 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   // ---- invocation (Fig. 5) -------------------------------------------
   /// Handles pending events, then forwards `operation` to the current
   /// component. Selects first if unbound. Throws NoComponentAvailable when
-  /// nothing can be selected; propagates remote/application errors.
+  /// nothing can be selected (its TraderUnavailable subtype when the trader
+  /// could not be reached); propagates remote/application errors.
   Value invoke(const std::string& operation, const ValueList& args = {});
 
   /// Paper SIV-A, "choice of different components for different requested
@@ -173,8 +178,9 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   // ---- load balancing (src/lb) ------------------------------------------
   /// Switches the replica-selection policy at run time (also exposed to
   /// strategy scripts as lb.set_policy). A non-sticky policy creates the
-  /// replica set on demand; "sticky" restores the paper's single-bind path
-  /// (an existing set is kept for its statistics but no longer routes).
+  /// replica set on demand and invocations pick from it; "sticky" goes back
+  /// to the single bound component (an existing set is kept for its
+  /// statistics but no longer picked from).
   void set_lb_policy(const std::string& policy);
   [[nodiscard]] std::string lb_policy() const;
   /// The proxy's replica set; with ensure=true it is created (empty, lazily
@@ -231,7 +237,6 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   void detach_registrations();
   void attach_registrations();
   void handle_event(const std::string& event_id);
-  Value forward(const std::string& operation, const ValueList& args);
 
   struct Interest {
     std::string event_id;
@@ -245,29 +250,34 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
     ObjectRef target;  // cached selection; empty until first use
   };
 
-  /// invoke() after its proxy span is open: events, routing, failover.
+  /// invoke() after its proxy span is open. Handles pending events, then
+  /// makes at most two attempts: pick a target (routed operation, replica
+  /// set or bound component), forward to it, and on an unreachable target
+  /// reselect once while avoiding it — gated on auto_failover and, when the
+  /// request may already have run, on the operation being idempotent.
   Value invoke_traced(const std::string& operation, const ValueList& args);
-  /// Forwards to `target`, applying method alternatives on BadOperation.
-  Value forward_to(const ObjectRef& target, const std::string& operation,
+  /// Forwards to `target` — through `set` when `replica` was picked from it,
+  /// so its statistics, breaker and hedging apply — retrying with the
+  /// operation's method alternative on BadOperation.
+  Value forward_to(const ObjectRef& target, const lb::ReplicaSetPtr& set,
+                   const lb::ReplicaPtr& replica, const std::string& operation,
                    const ValueList& args, int depth = 0);
-  /// Selects (or reuses) the component for a routed operation.
-  ObjectRef resolve_route(const std::string& operation, OperationRoute& route,
-                          bool force_reselect);
+  /// The component for a routed operation: the cached one, or — when there
+  /// is none or it just `failed` — a fresh query avoiding the failed one.
+  /// Empty when nothing matches.
+  ObjectRef resolve_route(OperationRoute& route, const ObjectRef& failed);
   /// Runs a trader query; returns matching offers (possibly none). Throws
   /// TraderUnavailable when the trader itself could not be reached, so
   /// callers can tell an outage from a legitimate no-match.
   std::vector<trading::OfferInfo> query_offers(const std::string& constraint,
                                                const std::string& preference);
-  /// The replica set's query: primary constraint with the configured
-  /// sorted-query fallback, returning *all* matches in preference order.
+  /// The primary query, then the sorting-only fallback when it matched
+  /// nothing and fallback_to_sorted allows it; all matches in preference
+  /// order. Serves select(), binding on demand and the replica set.
   std::vector<trading::OfferInfo> query_offers_all();
-  /// Throws TraderUnavailable when the last selection failed because of a
-  /// trader outage, NoComponentAvailable otherwise.
-  [[noreturn]] void throw_no_component(const std::string& message) const;
-  /// invoke_traced when a non-sticky policy routes through the replica set.
-  Value invoke_balanced(const std::string& operation, const ValueList& args);
-  /// True when invocations should route through the replica set.
-  [[nodiscard]] bool lb_active() const;
+  /// Binds the first offer that is not `avoid` (else the front); returns the
+  /// bound provider, empty when there are no offers.
+  ObjectRef bind_first(const std::vector<trading::OfferInfo>& offers, const ObjectRef& avoid);
 
   orb::OrbPtr orb_;
   ObjectRef lookup_;
@@ -278,14 +288,12 @@ class SmartProxy : public std::enable_shared_from_this<SmartProxy> {
   std::optional<trading::OfferInfo> offer_;
   ObjectRef current_;
   ObjectRef current_monitor_ref_;
-  ObjectRef last_failed_;
   std::vector<Interest> interests_;
   std::map<std::string, NativeStrategy> native_strategies_;
   std::map<std::string, OperationRoute> routes_;
   std::map<std::string, std::string> method_alternatives_;
   std::deque<std::string> event_queue_;
   lb::ReplicaSetPtr replica_set_;   // guarded by mu_; created lazily
-  bool trader_unreachable_ = false; // last select() failed on trader outage
   bool handling_events_ = false;
   std::vector<std::string> history_;
   uint64_t invocations_ = 0;

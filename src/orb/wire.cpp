@@ -194,6 +194,10 @@ RequestMessage decode_request(const Bytes& payload) {
   req.object_id = r.str();
   req.operation = r.str();
   const uint32_t argc = r.u32();
+  // Every encoded value takes at least its one-byte tag, so a count above
+  // the bytes left is a lie; reserving it would let a 22-byte frame ask for
+  // hundreds of gigabytes.
+  if (argc > r.remaining()) throw SerializationError("argument count exceeds frame");
   req.args.reserve(argc);
   for (uint32_t i = 0; i < argc; ++i) req.args.push_back(decode_value(r));
   if (!r.done()) {

@@ -136,6 +136,19 @@ TEST_F(RoutingTest, AlternativeMethodUsedWhenMissing) {
   EXPECT_EQ(proxy->invoke("hello").as_string(), "legacy");
 }
 
+TEST_F(RoutingTest, AlternativeMethodUsedWhenMissingRoundRobin) {
+  // A balancing policy changes only how the component is picked; the
+  // alternative-method fallback still applies.
+  deploy("legacy", "standard", {"greet"});
+  SmartProxyConfig cfg;
+  cfg.service_type = "Mixed";
+  cfg.monitor_property = "";
+  cfg.lb_policy = "round_robin";
+  auto proxy = infra_.make_proxy(cfg);
+  proxy->add_method_alternative("hello", "greet");
+  EXPECT_EQ(proxy->invoke("hello").as_string(), "legacy");
+}
+
 TEST_F(RoutingTest, PrimaryMethodPreferredWhenPresent) {
   infra_.make_host("modern");
   auto servant = FunctionServant::make("Mixed");

@@ -559,11 +559,26 @@ class FailoverGateTest : public ::testing::Test {
 
   ~FailoverGateTest() override { server_->shutdown(); }
 
-  core::SmartProxyPtr make_proxy() {
+  core::SmartProxyPtr make_proxy(const std::string& lb_policy = "sticky") {
     SmartProxyConfig cfg;
     cfg.service_type = "Svc";
     cfg.monitor_property = "";
+    cfg.lb_policy = lb_policy;
     return SmartProxy::create(client_, infra_.trader().lookup_ref(), cfg);
+  }
+
+  /// Invokes the non-idempotent "submit", which first lands on the slow
+  /// server: the post-send timeout must surface, and once the stalled
+  /// dispatch is over the operation must have run exactly once.
+  void expect_submit_not_rerun(SmartProxy& proxy) {
+    try {
+      proxy.invoke("submit");
+      FAIL() << "expected TimeoutError";
+    } catch (const orb::TransportError& e) {
+      EXPECT_TRUE(e.maybe_executed());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    EXPECT_EQ(submits_.load(), 1);
   }
 
   Infrastructure infra_{InfrastructureOptions{.name = "lbg" + std::to_string(counter_)}};
@@ -604,6 +619,34 @@ TEST_F(FailoverGateTest, PostSendTimeoutFailsOverOnlyWhenIdempotent) {
   // gate prevented a duplicate execution.
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
   EXPECT_EQ(submits_.load(), 1);
+}
+
+TEST_F(FailoverGateTest, RoutedPostSendTimeoutFailsOverOnlyWhenIdempotent) {
+  // The same gate on a routed operation: the route resolves to the slow
+  // preference winner first.
+  auto proxy = make_proxy();
+  proxy->route_operation("getvalue", "");
+  EXPECT_EQ(proxy->invoke("getvalue").as_string(), "fast");
+  EXPECT_TRUE(proxy->route_target("getvalue") == fast_ref_) << "route failed over";
+
+  auto proxy2 = make_proxy();
+  proxy2->route_operation("submit", "");
+  expect_submit_not_rerun(*proxy2);
+  EXPECT_TRUE(proxy2->route_target("submit").empty()) << "no reselect for maybe-executed call";
+}
+
+TEST_F(FailoverGateTest, BalancedPostSendTimeoutFailsOverOnlyWhenIdempotent) {
+  // The same gate on the replica-set path: a fresh round_robin set picks
+  // the first-ranked (slow) replica first.
+  auto proxy = make_proxy("round_robin");
+  EXPECT_EQ(proxy->invoke("getvalue").as_string(), "fast");
+
+  auto proxy2 = make_proxy("round_robin");
+  expect_submit_not_rerun(*proxy2);
+  for (const auto& replica : proxy2->replica_set()->snapshot()) {
+    EXPECT_EQ(replica.picks, replica.provider == slow_ref_ ? 1u : 0u)
+        << "no repick for maybe-executed call";
+  }
 }
 
 }  // namespace

@@ -209,5 +209,20 @@ TEST(WireMessageTest, EmptyPayloadRejected) {
   EXPECT_THROW((void)peek_type(Bytes{}), SerializationError);
 }
 
+TEST(WireMessageTest, ArgCountBeyondFrameRejected) {
+  // A 22-byte request claiming 2^32-1 arguments: rejected as malformed
+  // instead of reserving ~446 GB and dying with bad_alloc.
+  ByteWriter w;
+  w.u8(static_cast<uint8_t>(MsgType::Request));
+  w.u64(1);           // request id
+  w.u8(0);            // oneway
+  w.str("");          // object id
+  w.str("");          // operation
+  w.u32(0xFFFFFFFFu); // argc
+  const Bytes bytes = w.take();
+  ASSERT_EQ(bytes.size(), 22u);
+  EXPECT_THROW((void)decode_request(bytes), SerializationError);
+}
+
 }  // namespace
 }  // namespace adapt::orb

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/service_agent.h"
 #include "monitor/monitor.h"
@@ -42,6 +43,10 @@ struct SeededDefect {
   Severity severity;
   int line;              // expected diagnostic line
 };
+
+// Prints the case name rather than gtest's byte dump of the struct, which
+// holds string addresses and so changes from one run to the next.
+void PrintTo(const SeededDefect& d, std::ostream* os) { *os << d.name; }
 
 class SeededDefectTest : public ::testing::TestWithParam<SeededDefect> {};
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 namespace adapt::trading {
 namespace {
@@ -29,6 +30,12 @@ struct TruthCase {
   const char* expr;
   bool expected;
 };
+
+// Names each case by its quoted expression, not by gtest's default byte dump,
+// which holds the address of `expr` and so changes from one run to the next.
+void PrintTo(const TruthCase& tc, std::ostream* os) {
+  *os << '"' << tc.expr << "\" -> " << (tc.expected ? "true" : "false");
+}
 
 class ConstraintTruthTest : public ::testing::TestWithParam<TruthCase> {};
 
