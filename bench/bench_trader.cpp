@@ -8,7 +8,8 @@
 //   * constraint complexity,
 //   * preference ordering cost,
 //   * the remote (cross-ORB) query path used by real clients,
-//   * constraint parse cost.
+//   * constraint parse cost,
+//   * that a query's cost does not grow with unrelated types in the store.
 #include <benchmark/benchmark.h>
 
 #include "orb/orb.h"
@@ -20,7 +21,9 @@ using namespace adapt::trading;
 namespace {
 
 struct TraderFixture {
-  explicit TraderFixture(int offers, bool dynamic_props)
+  /// `offers` offers of type "Svc", plus `unrelated_types` other types of
+  /// `offers` offers each, exported before them.
+  explicit TraderFixture(int offers, bool dynamic_props, int unrelated_types = 0)
       : orb(orb::Orb::create()), trader(orb, {.name = "bench-trader"}) {
     ServiceTypeDef type;
     type.name = "Svc";
@@ -28,9 +31,12 @@ struct TraderFixture {
                        {"Host", "string", PropertyDef::Mode::Normal},
                        {"Rank", "number", PropertyDef::Mode::Normal}};
     trader.types().add(type);
+    for (int t = 0; t < unrelated_types; ++t) {
+      type.name = "Other" + std::to_string(t);
+      trader.types().add(type);
+      export_offers(type.name, offers, false);
+    }
 
-    auto servant = orb::FunctionServant::make("Svc");
-    servant->on("op", [](const ValueList&) { return Value(); });
     if (dynamic_props) {
       auto evaluator = orb::FunctionServant::make("DynamicPropEval");
       evaluator->on("evalDP", [this](const ValueList&) {
@@ -38,6 +44,11 @@ struct TraderFixture {
       });
       eval_ref = orb->register_servant(evaluator);
     }
+    export_offers("Svc", offers, dynamic_props);
+  }
+
+  void export_offers(const std::string& type, int offers, bool dynamic_props) {
+    auto servant = orb::FunctionServant::make("Svc");
     for (int i = 0; i < offers; ++i) {
       PropertyMap props;
       props["Host"] = OfferedProperty(Value("host-" + std::to_string(i)));
@@ -47,8 +58,7 @@ struct TraderFixture {
       } else {
         props["LoadAvg"] = OfferedProperty(Value(static_cast<double>(i % 100)));
       }
-      trader.export_offer("Svc", orb->register_servant(servant, "p" + std::to_string(i)),
-                          props);
+      trader.export_offer(type, orb->register_servant(servant), props);
     }
   }
 
@@ -126,6 +136,17 @@ void BM_ReturnCardTruncation(benchmark::State& state) {
   state.SetLabel("return_card=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_ReturnCardTruncation)->Arg(1)->Arg(10)->Arg(100);
+
+void BM_QueryAmongUnrelatedTypes(benchmark::State& state) {
+  // One 50-offer type queried while 0..40 unrelated 50-offer types share the
+  // store: the per-type index keeps the cost flat.
+  TraderFixture fx(50, /*dynamic=*/false, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.trader.query("Svc", "LoadAvg < 50", "min LoadAvg"));
+  }
+  state.SetLabel(std::to_string(state.range(0)) + " unrelated types of 50 offers");
+}
+BENCHMARK(BM_QueryAmongUnrelatedTypes)->Arg(0)->Arg(10)->Arg(40);
 
 void BM_ExportWithdraw(benchmark::State& state) {
   TraderFixture fx(0, /*dynamic=*/false);

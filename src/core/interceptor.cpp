@@ -34,20 +34,18 @@ Value InterceptedCaller::invoke(const ObjectRef& target, const std::string& oper
   Value result;
   try {
     result = orb_->invoke(effective, operation, effective_args);
-  } catch (const orb::TransportError& e) {
-    ObjectRef retry;
-    for (const auto& interceptor : chain_) {
-      if (interceptor->on_error(effective, operation, e, retry)) {
-        return retry_with(retry);
-      }
-    }
-    span.set_error(e.what());
-    throw;
-  } catch (const orb::ObjectNotFound& e) {
-    ObjectRef retry;
-    for (const auto& interceptor : chain_) {
-      if (interceptor->on_error(effective, operation, e, retry)) {
-        return retry_with(retry);
+  } catch (const orb::OrbError& e) {
+    // The failover gate SmartProxy applies: only an unreachable or vanished
+    // target is retried elsewhere, and once the request was fully written
+    // the peer may have executed it, so then only an idempotent operation.
+    const auto* lost = dynamic_cast<const orb::TransportError*>(&e);
+    if (lost == nullptr && dynamic_cast<const orb::ObjectNotFound*>(&e) == nullptr) throw;
+    if (lost == nullptr || !lost->maybe_executed() || orb_->is_idempotent(operation)) {
+      ObjectRef retry;
+      for (const auto& interceptor : chain_) {
+        if (interceptor->on_error(effective, operation, e, retry)) {
+          return retry_with(retry);
+        }
       }
     }
     span.set_error(e.what());

@@ -84,7 +84,7 @@ struct OrbConfig {
   bool validate_interfaces = true;
 
   /// Share an interface repository across ORBs; a fresh one when null.
-  std::shared_ptr<InterfaceRepository> interfaces;
+  std::shared_ptr<InterfaceRepository> interfaces = {};
 
   /// Retry policy applied to idempotent operations over TCP.
   RetryPolicy retry = {};
@@ -141,7 +141,7 @@ struct OrbConfig {
   /// Destination ring for this ORB's spans; the process-wide
   /// obs::default_tracer() when null (so one query API sees every ORB of an
   /// in-process deployment). Disable via tracer->set_enabled(false).
-  std::shared_ptr<obs::Tracer> tracer;
+  std::shared_ptr<obs::Tracer> tracer = {};
 
   /// Emit the trace-context tail on outgoing *TCP* requests. Opt-in because
   /// a pre-context (v1) peer rejects frames carrying the tail ("trailing

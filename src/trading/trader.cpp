@@ -1,6 +1,8 @@
 #include "trading/trader.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "base/logging.h"
 
@@ -24,6 +26,30 @@ Value string_list_to_value(const std::vector<std::string>& items) {
   auto t = Table::make();
   for (const auto& s : items) t->append(Value(s));
   return Value(std::move(t));
+}
+
+/// The slot of `offer` in its type's sequence-ordered list.
+std::vector<OfferPtr>::iterator slot_of(std::vector<OfferPtr>& list, const ServiceOffer& offer) {
+  return std::lower_bound(list.begin(), list.end(), offer.sequence,
+                          [](const OfferPtr& o, uint64_t seq) { return o->sequence < seq; });
+}
+
+bool expired(const ServiceOffer& offer, double now) {
+  return offer.expires_at > 0 && offer.expires_at <= now;
+}
+
+/// A count policy from the wire. Remote input: a NaN, infinite or negative
+/// number is refused, and one beyond T's range is clamped before the cast
+/// (casting it would be undefined behaviour). The Admin limits apply later.
+template <typename T>
+T policy_count(const Value& x, const char* name) {
+  const double d = x.as_number();
+  if (!std::isfinite(d) || d < 0) {
+    throw TradingError(std::string("lookup policy '") + name +
+                       "' must be a finite non-negative number");
+  }
+  constexpr T kMax = std::numeric_limits<T>::max();
+  return d >= static_cast<double>(kMax) ? kMax : static_cast<T>(d);
 }
 
 }  // namespace
@@ -106,10 +132,10 @@ LookupPolicies Trader::policies_from_value(const Value& v) {
   if (!v.is_table()) return p;
   const Table& t = *v.as_table();
   if (const Value x = t.get(Value("search_card")); x.is_number()) {
-    p.search_card = static_cast<size_t>(x.as_number());
+    p.search_card = policy_count<size_t>(x, "search_card");
   }
   if (const Value x = t.get(Value("return_card")); x.is_number()) {
-    p.return_card = static_cast<size_t>(x.as_number());
+    p.return_card = policy_count<size_t>(x, "return_card");
   }
   if (const Value x = t.get(Value("use_dynamic_properties")); x.is_bool()) {
     p.use_dynamic_properties = x.as_bool();
@@ -118,7 +144,7 @@ LookupPolicies Trader::policies_from_value(const Value& v) {
     p.exact_type_match = x.as_bool();
   }
   if (const Value x = t.get(Value("hop_count")); x.is_number()) {
-    p.hop_count = static_cast<int>(x.as_number());
+    p.hop_count = policy_count<int>(x, "hop_count");
   }
   return p;
 }
@@ -268,77 +294,92 @@ void Trader::validate_offer(const std::string& service_type, const ObjectRef& pr
 std::string Trader::export_offer(const std::string& service_type, const ObjectRef& provider,
                                  PropertyMap properties, double lease_seconds) {
   validate_offer(service_type, provider, properties);
+  auto offer = std::make_shared<ServiceOffer>();
+  offer->service_type = service_type;
+  offer->provider = provider;
+  offer->properties = std::move(properties);
   std::scoped_lock lock(mu_);
-  ServiceOffer offer;
-  offer.id = config_.name + "-offer-" + std::to_string(next_offer_++);
-  offer.service_type = service_type;
-  offer.provider = provider;
-  offer.properties = std::move(properties);
-  offer.sequence = sequence_++;
-  offer.expires_at = lease_seconds > 0 ? clock_->now() + lease_seconds : 0;
-  const std::string id = offer.id;
-  offers_[id] = std::move(offer);
+  offer->id = config_.name + "-offer-" + std::to_string(next_offer_++);
+  offer->sequence = sequence_++;
+  offer->expires_at = lease_seconds > 0 ? clock_->now() + lease_seconds : 0;
+  const std::string id = offer->id;
+  by_type_[service_type].push_back(offer);  // the newest sequence goes last
+  offers_.emplace(id, std::move(offer));
   log_debug("trader ", config_.name, ": exported ", id, " type=", service_type);
   return id;
 }
 
+ServiceOffer& Trader::writable_locked(std::map<std::string, OfferPtr>::iterator it) {
+  if (it->second.use_count() > 2) {  // a query is reading it: copy on write
+    auto copy = std::make_shared<ServiceOffer>(*it->second);
+    *slot_of(by_type_.at(copy->service_type), *copy) = copy;
+    it->second = std::move(copy);
+  }
+  // Every offer is created non-const (make_shared<ServiceOffer>).
+  return const_cast<ServiceOffer&>(*it->second);
+}
+
+void Trader::erase_locked(std::map<std::string, OfferPtr>::iterator it) {
+  const auto list = by_type_.find(it->second->service_type);
+  list->second.erase(slot_of(list->second, *it->second));
+  if (list->second.empty()) by_type_.erase(list);
+  offers_.erase(it);
+}
+
+size_t Trader::erase_if_locked(const std::function<bool(const ServiceOffer&)>& doomed) {
+  size_t removed = 0;
+  for (auto list = by_type_.begin(); list != by_type_.end();) {
+    removed += std::erase_if(list->second, [&](const OfferPtr& offer) {
+      if (!doomed(*offer)) return false;
+      offers_.erase(offer->id);
+      return true;
+    });
+    list = list->second.empty() ? by_type_.erase(list) : std::next(list);
+  }
+  return removed;
+}
+
 void Trader::withdraw(const std::string& offer_id) {
   std::scoped_lock lock(mu_);
-  if (offers_.erase(offer_id) == 0) throw UnknownOffer("no such offer: " + offer_id);
+  const auto it = offers_.find(offer_id);
+  if (it == offers_.end()) throw UnknownOffer("no such offer: " + offer_id);
+  erase_locked(it);
 }
 
 void Trader::refresh(const std::string& offer_id, double lease_seconds) {
   std::scoped_lock lock(mu_);
   const auto it = offers_.find(offer_id);
   const double now = clock_->now();
-  if (it == offers_.end() ||
-      (it->second.expires_at > 0 && it->second.expires_at <= now)) {
-    offers_.erase(offer_id);
+  if (it == offers_.end() || expired(*it->second, now)) {
+    if (it != offers_.end()) erase_locked(it);
     throw UnknownOffer("no such live offer: " + offer_id);
   }
-  it->second.expires_at = lease_seconds > 0 ? now + lease_seconds : 0;
+  writable_locked(it).expires_at = lease_seconds > 0 ? now + lease_seconds : 0;
 }
 
 size_t Trader::purge_expired() {
   std::scoped_lock lock(mu_);
   const double now = clock_->now();
-  size_t removed = 0;
-  for (auto it = offers_.begin(); it != offers_.end();) {
-    if (it->second.expires_at > 0 && it->second.expires_at <= now) {
-      it = offers_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return erase_if_locked([now](const ServiceOffer& offer) { return expired(offer, now); });
 }
 
 size_t Trader::withdraw_provider(const ObjectRef& provider) {
   std::scoped_lock lock(mu_);
-  size_t removed = 0;
-  for (auto it = offers_.begin(); it != offers_.end();) {
-    if (it->second.provider == provider) {
-      it = offers_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return erase_if_locked(
+      [&provider](const ServiceOffer& offer) { return offer.provider == provider; });
 }
 
 void Trader::modify(const std::string& offer_id, const PropertyMap& changes) {
   std::scoped_lock lock(mu_);
   const auto it = offers_.find(offer_id);
   if (it == offers_.end()) throw UnknownOffer("no such offer: " + offer_id);
-  ServiceOffer& offer = it->second;
-  const auto defs = types_.effective_properties(offer.service_type);
+  const ServiceOffer& current = *it->second;
+  const auto defs = types_.effective_properties(current.service_type);
   for (const auto& [name, prop] : changes) {
     const auto def = std::find_if(defs.begin(), defs.end(),
                                   [&](const PropertyDef& d) { return d.name == name; });
     if (def != defs.end()) {
-      if (def->readonly() && offer.properties.count(name) != 0) {
+      if (def->readonly() && current.properties.count(name) != 0) {
         throw PropertyMismatch("property '" + name + "' is readonly");
       }
       if (!prop.is_dynamic() &&
@@ -346,15 +387,16 @@ void Trader::modify(const std::string& offer_id, const PropertyMap& changes) {
         throw PropertyMismatch("property '" + name + "' must be " + def->type);
       }
     }
-    offer.properties[name] = prop;
   }
+  ServiceOffer& offer = writable_locked(it);
+  for (const auto& [name, prop] : changes) offer.properties[name] = prop;
 }
 
 ServiceOffer Trader::describe(const std::string& offer_id) const {
   std::scoped_lock lock(mu_);
   const auto it = offers_.find(offer_id);
   if (it == offers_.end()) throw UnknownOffer("no such offer: " + offer_id);
-  return it->second;
+  return *it->second;
 }
 
 std::vector<std::string> Trader::list_offers() const {
@@ -370,10 +412,7 @@ size_t Trader::offer_count() const {
   return offers_.size();
 }
 
-uint64_t Trader::dynamic_evals() const {
-  std::scoped_lock lock(mu_);
-  return dynamic_evals_;
-}
+uint64_t Trader::dynamic_evals() const { return dynamic_evals_.load(); }
 
 // ---- Lookup -------------------------------------------------------------
 
@@ -387,10 +426,7 @@ Value Trader::resolve_property(const ServiceOffer& offer, const std::string& nam
   try {
     const DynamicProperty& dp = it->second.dynamic();
     Value v = orb_->invoke(dp.eval, "evalDP", {Value(name), dp.extra});
-    {
-      std::scoped_lock lock(mu_);
-      ++dynamic_evals_;
-    }
+    ++dynamic_evals_;
     cache[name] = v;
     return v;
   } catch (const Error& e) {
@@ -446,28 +482,46 @@ std::vector<OfferInfo> Trader::query(const std::string& service_type,
   return results;
 }
 
+Trader::Snapshot::~Snapshot() {
+  std::scoped_lock lock(trader.mu_);
+  offers.clear();
+}
+
+std::vector<OfferPtr> Trader::live_candidates(const std::string& service_type,
+                                              const LookupPolicies& policies) const {
+  // Under mu_ throughout: the pointers cut below are released under it too.
+  std::scoped_lock lock(mu_);
+  const double now = clock_->now();
+  std::vector<OfferPtr> out;
+  size_t types = 0;
+  for (const auto& [type, offers] : by_type_) {
+    // One subtype test per indexed type, not per offer.
+    if (policies.exact_type_match ? type != service_type
+                                  : !types_.is_subtype(type, service_type)) {
+      continue;
+    }
+    ++types;
+    for (const OfferPtr& offer : offers) {
+      if (!expired(*offer, now)) out.push_back(offer);
+    }
+  }
+  // Each type's list is in registration order; subtypes interleave.
+  if (types > 1) {
+    std::sort(out.begin(), out.end(),
+              [](const OfferPtr& a, const OfferPtr& b) { return a->sequence < b->sequence; });
+  }
+  if (out.size() > policies.search_card) out.resize(policies.search_card);
+  return out;
+}
+
 std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
                                            const Constraint& constraint,
                                            const Preference& preference,
                                            const std::vector<std::string>& desired,
                                            const LookupPolicies& policies) {
-  // Snapshot candidate offers under the lock; evaluate without it (dynamic
+  // Snapshot candidate pointers under the lock; evaluate without it (dynamic
   // properties call back into servants — CP.22).
-  std::vector<ServiceOffer> candidates;
-  {
-    std::scoped_lock lock(mu_);
-    const double now = clock_->now();
-    for (const auto& [id, offer] : offers_) {
-      if (offer.expires_at > 0 && offer.expires_at <= now) continue;  // lease ran out
-      const bool type_ok = policies.exact_type_match
-                               ? offer.service_type == service_type
-                               : types_.is_subtype(offer.service_type, service_type);
-      if (type_ok) candidates.push_back(offer);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const ServiceOffer& a, const ServiceOffer& b) { return a.sequence < b.sequence; });
-  if (candidates.size() > policies.search_card) candidates.resize(policies.search_card);
+  const Snapshot candidates{*this, live_candidates(service_type, policies)};
 
   struct Matched {
     const ServiceOffer* offer;
@@ -475,8 +529,15 @@ std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
     std::optional<double> score;         // min/max preference key
     bool with_match = false;
   };
+  // Registration order is the final order under "first", so evaluation
+  // stops once return_card offers have matched.
+  const size_t enough = preference.kind() == Preference::Kind::First
+                            ? policies.return_card
+                            : std::numeric_limits<size_t>::max();
   std::vector<Matched> matched;
-  for (const ServiceOffer& offer : candidates) {
+  for (const OfferPtr& candidate : candidates.offers) {
+    if (matched.size() >= enough) break;
+    const ServiceOffer& offer = *candidate;
     Matched m{&offer, {}, std::nullopt, false};
     PropertyLookup lookup = [&](const std::string& name) -> std::optional<Value> {
       Value v = resolve_property(offer, name, policies.use_dynamic_properties, m.cache);
@@ -528,6 +589,8 @@ std::vector<OfferInfo> Trader::query_local(const std::string& service_type,
       break;
   }
 
+  // Only the offers that will be returned get their properties resolved.
+  if (matched.size() > policies.return_card) matched.resize(policies.return_card);
   std::vector<OfferInfo> results;
   results.reserve(matched.size());
   for (Matched& m : matched) {

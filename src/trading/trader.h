@@ -15,7 +15,10 @@
 //    CORBA clients talk to CosTrading.
 #pragma once
 
+#include <atomic>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -41,15 +44,19 @@ class OfferedProperty {
  public:
   OfferedProperty() = default;
   OfferedProperty(Value v) : value_(std::move(v)) {}  // implicit: ergonomic maps
-  explicit OfferedProperty(DynamicProperty dp) : dynamic_(std::move(dp)) {}
+  explicit OfferedProperty(DynamicProperty dp)
+      : dynamic_(std::make_shared<const DynamicProperty>(std::move(dp))) {}
 
-  [[nodiscard]] bool is_dynamic() const { return dynamic_.has_value(); }
+  [[nodiscard]] bool is_dynamic() const { return dynamic_ != nullptr; }
   [[nodiscard]] const Value& static_value() const { return value_; }
   [[nodiscard]] const DynamicProperty& dynamic() const { return *dynamic_; }
 
  private:
   Value value_;
-  std::optional<DynamicProperty> dynamic_;
+  /// Behind a pointer: most properties are static, and an inline
+  /// DynamicProperty (an ObjectRef and a Value) would triple the size of
+  /// every property in the store. Immutable, so copies share it.
+  std::shared_ptr<const DynamicProperty> dynamic_;
 };
 
 using PropertyMap = std::map<std::string, OfferedProperty>;
@@ -66,6 +73,12 @@ struct ServiceOffer {
   /// so a crashed host's stale offers disappear by themselves.
   double expires_at = 0;
 };
+
+/// A shared snapshot of an offer. Queries copy these pointers under the
+/// trader's lock and read the offers after releasing it; modify/refresh
+/// change an offer in place only while no query holds it, and otherwise
+/// publish a changed copy, so a query never sees an offer change.
+using OfferPtr = std::shared_ptr<const ServiceOffer>;
 
 struct LookupPolicies {
   /// Upper bound on offers considered (constraint evaluations).
@@ -105,7 +118,7 @@ struct TraderConfig {
   std::string name = "trader";
   uint32_t rng_seed = 1234;  // behind the "random" preference
   /// Clock for offer leases; RealClock when null.
-  ClockPtr clock;
+  ClockPtr clock = {};
 };
 
 class Trader {
@@ -197,6 +210,24 @@ class Trader {
                          std::map<std::string, Value>& cache) const;
   void validate_offer(const std::string& service_type, const ObjectRef& provider,
                       const PropertyMap& properties) const;
+  /// The offers one query reads. Released under mu_, so a writer that
+  /// finds an offer held by the index alone (use_count 2) knows no query
+  /// still reads it.
+  struct Snapshot {
+    const Trader& trader;
+    std::vector<OfferPtr> offers;
+    ~Snapshot();
+  };
+  /// Live offers of `service_type` (and its subtypes unless exact) in
+  /// registration order, at most `search_card` of them. Takes mu_.
+  std::vector<OfferPtr> live_candidates(const std::string& service_type,
+                                        const LookupPolicies& policies) const;
+  /// Index maintenance; mu_ held. `writable_locked` returns the offer to
+  /// change: itself when only the index holds it, else a copy swapped in at
+  /// the same slot (same id, type and sequence).
+  ServiceOffer& writable_locked(std::map<std::string, OfferPtr>::iterator it);
+  void erase_locked(std::map<std::string, OfferPtr>::iterator it);
+  size_t erase_if_locked(const std::function<bool(const ServiceOffer&)>& doomed);
 
   orb::OrbPtr orb_;
   Config config_;
@@ -205,11 +236,13 @@ class Trader {
 
   mutable std::mutex mu_;
   TraderAdminSettings admin_;
-  std::map<std::string, ServiceOffer> offers_;
+  std::map<std::string, OfferPtr> offers_;  // by id
+  /// The same offers by service type, each list in `sequence` order.
+  std::map<std::string, std::vector<OfferPtr>> by_type_;
   std::map<std::string, ObjectRef> links_;
   uint64_t next_offer_ = 1;
   uint64_t sequence_ = 0;
-  mutable uint64_t dynamic_evals_ = 0;
+  mutable std::atomic<uint64_t> dynamic_evals_{0};
   std::mt19937 rng_;
 
   ObjectRef lookup_ref_;

@@ -2,6 +2,10 @@
 // the interceptor-based adaptation path (paper SVI future work, X1).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "core/baseline_proxy.h"
 #include "core/infrastructure.h"
 #include "core/interceptor.h"
@@ -152,6 +156,62 @@ TEST_F(BaselineTest, InterceptorNoComponentThrows) {
   caller.add(std::make_shared<RebindInterceptor>(client_orb, infra_.lookup_ref(),
                                                  "HelloService"));
   EXPECT_THROW(caller.invoke(ObjectRef{}, "whoami"), Error);
+}
+
+TEST(InterceptorFailoverGateTest, PostSendTimeoutFailsOverOnlyWhenIdempotent) {
+  Infrastructure infra(InfrastructureOptions{.name = "icp-gate"});
+  trading::ServiceTypeDef type;
+  type.name = "Svc";
+  infra.trader().types().add(type);
+
+  // A TCP replica that stalls past the client's request timeout, so the
+  // request is fully written when it fails (maybe_executed), exported first
+  // so the interceptor binds it; then a fast in-process replica.
+  auto server = orb::Orb::create(orb::OrbConfig{.name = "icp-gate-srv", .listen_tcp = true});
+  std::atomic<int> slow_submits{0};
+  auto slow = FunctionServant::make("Svc");
+  slow->on("getvalue", [](const ValueList&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    return Value("slow");
+  });
+  slow->on("submit", [&slow_submits](const ValueList&) {
+    ++slow_submits;
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    return Value("slow");
+  });
+  infra.trader().export_offer("Svc", server->register_servant(slow), {});
+  std::atomic<int> fast_submits{0};
+  auto fast = FunctionServant::make("Svc");
+  fast->on("getvalue", [](const ValueList&) { return Value("fast"); });
+  fast->on("submit", [&fast_submits](const ValueList&) {
+    ++fast_submits;
+    return Value("fast");
+  });
+  auto fast_orb = infra.make_orb("icp-gate-fast");
+  infra.trader().export_offer("Svc", fast_orb->register_servant(fast), {});
+
+  auto client = orb::Orb::create(orb::OrbConfig{.name = "icp-gate-cli", .request_timeout = 0.2});
+  auto caller_with_rebind = [&] {
+    auto caller = std::make_unique<InterceptedCaller>(client);
+    caller->add(std::make_shared<RebindInterceptor>(client, infra.trader().lookup_ref(), "Svc"));
+    return caller;
+  };
+
+  // Non-idempotent: the slow replica may be running it, so no failover.
+  auto caller = caller_with_rebind();
+  try {
+    caller->invoke(ObjectRef{}, "submit");
+    FAIL() << "expected the post-send timeout to propagate";
+  } catch (const orb::TransportError& e) {
+    EXPECT_TRUE(e.maybe_executed());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  EXPECT_EQ(slow_submits.load(), 1);
+  EXPECT_EQ(fast_submits.load(), 0) << "submit was run a second time";
+
+  // Idempotent: re-running it elsewhere is safe, so the call fails over.
+  EXPECT_EQ(caller_with_rebind()->invoke(ObjectRef{}, "getvalue").as_string(), "fast");
+  server->shutdown();
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <thread>
+
 namespace adapt::trading {
 namespace {
 
@@ -582,6 +586,217 @@ TEST_F(TraderTest, DynamicEvalCounter) {
   const uint64_t before = trader_.dynamic_evals();
   trader_.query("LoadService", "LoadAvg > 0");
   EXPECT_EQ(trader_.dynamic_evals(), before + 1);
+}
+
+// ---- lookup policies from the wire ------------------------------------
+
+TEST_F(TraderTest, RemotePolicyCountsAreBounded) {
+  for (int i = 0; i < 5; ++i) export_host("h" + std::to_string(i), i);
+  auto client_orb = Orb::create();
+  auto query_with = [&](const char* policy, double value) {
+    auto policies = Table::make();
+    policies->set(Value(policy), Value(value));
+    return client_orb->invoke(trader_.lookup_ref(), "query",
+                              {Value("LoadService"), Value(""), Value(""),
+                               Value(Table::make()), Value(std::move(policies))});
+  };
+  for (const char* policy : {"search_card", "return_card", "hop_count"}) {
+    for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      try {
+        query_with(policy, bad);
+        FAIL() << policy << "=" << bad << " accepted";
+      } catch (const orb::RemoteError& e) {
+        EXPECT_NE(std::string(e.what()).find(policy), std::string::npos) << e.what();
+      }
+    }
+    // Beyond the type's range: clamped, then the Admin limits apply.
+    const Value huge = query_with(policy, 1e300);
+    ASSERT_TRUE(huge.is_table()) << policy;
+    EXPECT_EQ(huge.as_table()->length(), 5) << policy;
+  }
+  TraderAdminSettings admin;
+  admin.max_return_card = 2;
+  trader_.set_admin(admin);
+  EXPECT_EQ(query_with("return_card", 1e300).as_table()->length(), 2);
+}
+
+// ---- the offer index ---------------------------------------------------
+
+/// A leased store with a subtype and an unrelated type, on a simulated
+/// clock, for the behaviour the per-type offer index must keep.
+class TraderIndexTest : public ::testing::Test {
+ protected:
+  TraderIndexTest()
+      : clock_(std::make_shared<SimClock>()),
+        orb_(Orb::create()),
+        trader_(orb_, {.name = "index", .clock = clock_}) {
+    ServiceTypeDef base;
+    base.name = "Svc";
+    base.properties = {{"Rank", "number", PropertyDef::Mode::Normal}};
+    trader_.types().add(base);
+    ServiceTypeDef sub;
+    sub.name = "FastSvc";
+    sub.supertypes = {"Svc"};
+    trader_.types().add(sub);
+    ServiceTypeDef other;
+    other.name = "Other";
+    other.properties = {{"Rank", "number", PropertyDef::Mode::Normal}};
+    trader_.types().add(other);
+    provider_ = orb_->register_servant(FunctionServant::make("Svc"));
+  }
+
+  std::string offer(const std::string& type, double rank, double lease = 0,
+                    const ObjectRef& provider = {}) {
+    PropertyMap props;
+    props["Rank"] = OfferedProperty(Value(rank));
+    return trader_.export_offer(type, provider.empty() ? provider_ : provider, props, lease);
+  }
+
+  std::vector<std::string> ids(const std::string& type, const std::string& constraint = "",
+                               const std::string& preference = "",
+                               const LookupPolicies& policies = {}) {
+    std::vector<std::string> out;
+    for (const OfferInfo& info : trader_.query(type, constraint, preference, {}, policies)) {
+      out.push_back(info.offer_id);
+    }
+    return out;
+  }
+
+  std::shared_ptr<SimClock> clock_;
+  OrbPtr orb_;
+  Trader trader_;
+  ObjectRef provider_;
+};
+
+TEST_F(TraderIndexTest, FirstKeepsRegistrationOrderAcrossSubtypes) {
+  const std::string b0 = offer("Svc", 1);
+  const std::string s0 = offer("FastSvc", 2);
+  offer("Other", 3);
+  const std::string b1 = offer("Svc", 4);
+  const std::string s1 = offer("FastSvc", 5);
+  EXPECT_EQ(ids("Svc"), (std::vector<std::string>{b0, s0, b1, s1}));
+  EXPECT_EQ(ids("Svc", "", "first"), (std::vector<std::string>{b0, s0, b1, s1}));
+  LookupPolicies three;
+  three.return_card = 3;
+  EXPECT_EQ(ids("Svc", "Rank > 1", "first", three), (std::vector<std::string>{s0, b1, s1}));
+  LookupPolicies exact;
+  exact.exact_type_match = true;
+  EXPECT_EQ(ids("Svc", "", "", exact), (std::vector<std::string>{b0, b1}));
+  EXPECT_EQ(ids("FastSvc"), (std::vector<std::string>{s0, s1}));
+}
+
+TEST_F(TraderIndexTest, SearchCardTakesTheFirstLiveCandidatesAcrossSubtypes) {
+  const std::string b0 = offer("Svc", 1);
+  const std::string s0 = offer("FastSvc", 2, /*lease=*/10);
+  const std::string b1 = offer("Svc", 3);
+  const std::string s1 = offer("FastSvc", 4);
+  offer("Svc", 5);
+  LookupPolicies policies;
+  policies.search_card = 3;
+  // Ordered by preference, but drawn only from the first three registered.
+  EXPECT_EQ(ids("Svc", "", "max Rank", policies), (std::vector<std::string>{b1, s0, b0}));
+  clock_->advance(20);  // s0's lease runs out: the next live offer takes its place
+  EXPECT_EQ(ids("Svc", "", "max Rank", policies), (std::vector<std::string>{s1, b1, b0}));
+}
+
+TEST_F(TraderIndexTest, ExpiryPurgeAndProviderWithdrawalKeepEveryViewConsistent) {
+  const ObjectRef other_provider = orb_->register_servant(FunctionServant::make("Svc"));
+  const std::string keep = offer("Svc", 1);
+  const std::string leased = offer("FastSvc", 2, /*lease=*/10);
+  const std::string mine = offer("Svc", 3, 0, other_provider);
+  const std::string mine_sub = offer("FastSvc", 4, 0, other_provider);
+  clock_->advance(20);
+  EXPECT_EQ(ids("Svc"), (std::vector<std::string>{keep, mine, mine_sub}))
+      << "expired offers never match";
+  EXPECT_EQ(trader_.offer_count(), 4u) << "expired offers are purged lazily";
+
+  EXPECT_EQ(trader_.purge_expired(), 1u);
+  EXPECT_EQ(trader_.list_offers(), (std::vector<std::string>{keep, mine, mine_sub}));
+  EXPECT_THROW((void)trader_.describe(leased), UnknownOffer);
+
+  EXPECT_EQ(trader_.withdraw_provider(other_provider), 2u);
+  EXPECT_EQ(trader_.list_offers(), (std::vector<std::string>{keep}));
+  EXPECT_THROW((void)trader_.describe(mine_sub), UnknownOffer);
+  EXPECT_EQ(ids("Svc"), (std::vector<std::string>{keep}));
+  EXPECT_TRUE(ids("FastSvc").empty());
+  EXPECT_EQ(trader_.describe(keep).sequence, 0u);
+
+  // The emptied type takes offers again, after the surviving one.
+  const std::string fresh = offer("FastSvc", 5);
+  EXPECT_EQ(ids("Svc"), (std::vector<std::string>{keep, fresh}));
+  EXPECT_THROW(trader_.withdraw(leased), UnknownOffer);
+}
+
+TEST_F(TraderIndexTest, ModifyAndRefreshKeepRegistrationPosition) {
+  const std::string a = offer("Svc", 1, /*lease=*/10);
+  const std::string b = offer("FastSvc", 2);
+  const std::string c = offer("Svc", 3);
+  trader_.modify(a, {{"Rank", OfferedProperty(Value(9.0))}});
+  trader_.refresh(a, 100);
+  trader_.modify(c, {{"Rank", OfferedProperty(Value(0.0))}});
+  EXPECT_EQ(ids("Svc"), (std::vector<std::string>{a, b, c}));
+  EXPECT_EQ(ids("Svc", "", "max Rank"), (std::vector<std::string>{a, b, c}));
+  EXPECT_DOUBLE_EQ(trader_.describe(a).properties.at("Rank").static_value().as_number(), 9.0);
+  clock_->advance(50);  // past the first lease, inside the refreshed one
+  EXPECT_EQ(ids("Svc"), (std::vector<std::string>{a, b, c}));
+}
+
+TEST_F(TraderIndexTest, UnreturnedOffersAreNotMaterialised) {
+  auto evaluator = FunctionServant::make("DynamicPropEval");
+  evaluator->on("evalDP", [](const ValueList&) { return Value(1.0); });
+  const ObjectRef eval_ref = orb_->register_servant(evaluator);
+  for (int i = 0; i < 6; ++i) {
+    PropertyMap props;
+    props["Rank"] = OfferedProperty(Value(static_cast<double>(i)));
+    props["Load"] = OfferedProperty(DynamicProperty{eval_ref, Value()});
+    trader_.export_offer(i % 2 == 0 ? "Svc" : "FastSvc", provider_, props);
+  }
+  LookupPolicies one;
+  one.return_card = 1;
+  // Every offer matches and is ordered, but only the returned one has its
+  // dynamic property resolved (desired is empty: all properties).
+  for (const char* preference : {"", "first", "max Rank", "min Rank", "with Rank > 2"}) {
+    const uint64_t before = trader_.dynamic_evals();
+    const auto results = trader_.query("Svc", "Rank >= 0", preference, {}, one);
+    ASSERT_EQ(results.size(), 1u) << preference;
+    EXPECT_EQ(results[0].properties.count("Load"), 1u) << preference;
+    EXPECT_EQ(trader_.dynamic_evals(), before + 1) << preference;
+  }
+}
+
+TEST_F(TraderIndexTest, QueriesRaceModifyRefreshAndWithdraw) {
+  std::vector<std::string> stable;
+  for (int i = 0; i < 20; ++i) stable.push_back(offer(i % 2 == 0 ? "Svc" : "FastSvc", i));
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      LookupPolicies policies;
+      policies.return_card = r == 0 ? 5 : 100;
+      while (!stop.load()) {
+        const auto results = trader_.query("Svc", "Rank >= 0", r == 0 ? "max Rank" : "",
+                                           {}, policies);
+        // The 20 stable offers always match; churned ones may come and go.
+        if (results.size() < std::min<size_t>(policies.return_card, 20)) ++bad;
+        for (const OfferInfo& info : results) {
+          if (info.properties.count("Rank") == 0) ++bad;
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::string& id = stable[static_cast<size_t>(i) % stable.size()];
+    trader_.modify(id, {{"Rank", OfferedProperty(Value(static_cast<double>(i)))}});
+    trader_.refresh(id, 0);
+    trader_.withdraw(offer(i % 2 == 0 ? "FastSvc" : "Svc", i));
+  }
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(trader_.offer_count(), stable.size());
+  EXPECT_EQ(ids("Svc").size(), stable.size());
 }
 
 }  // namespace
